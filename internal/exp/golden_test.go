@@ -18,12 +18,14 @@ import (
 //	go test ./internal/exp -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite testdata/golden snapshots")
 
-// goldenSetups are the Table IV configurations snapshotted under
+// goldenSetups are the Table IV–VI configurations snapshotted under
 // testdata/golden: one JSON file per setup, mapping workload name to the
 // full QuickParams sim.Result. They cover the baseline machine, all three
-// TLB-side predictors, the iso-storage control and the two-pass oracle, so
-// any refactor that drifts a single metric anywhere in the stack (TLB,
-// walker, caches, predictors, timing core) fails with a field-level diff.
+// TLB-side predictors, the iso-storage control, the two-pass oracle, the
+// full dpPred+cbPred proposal and the LLC-side and combined AIP/SHiP
+// setups, so any refactor that drifts a single metric anywhere in the
+// stack (TLB, walker, caches, predictors, timing core) fails with a
+// field-level diff.
 func goldenSetups() []Setup {
 	return []Setup{
 		Baseline(),
@@ -32,6 +34,11 @@ func goldenSetups() []Setup {
 		DPPredSetup(),
 		IsoStorageSetup(),
 		OracleSetup(),
+		DPPredCBPredSetup(),
+		AIPLLCSetup(),
+		SHiPLLCSetup(),
+		AIPBothSetup(),
+		SHiPBothSetup(),
 	}
 }
 
