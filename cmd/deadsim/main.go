@@ -359,8 +359,8 @@ func run() error {
 // version) and builds the matching looping generator: DPTR record streams
 // replay through the Replayer, DPBF v1 dumps materialize into a Buffer,
 // and DPBF v2 dumps stream chunk by chunk through a ChunkedTrace without
-// ever materializing. All three wrap at end of stream, and the buffer
-// cursors serve the batched simulation path (trace.ChunkReader).
+// ever materializing. All three wrap at end of stream and feed the
+// simulator one Next per access.
 func openTraceGenerator(f *os.File) (trace.Generator, error) {
 	var pre [6]byte
 	if _, err := f.ReadAt(pre[:], 0); err != nil {

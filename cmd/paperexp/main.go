@@ -33,7 +33,11 @@
 // trace file under DIR (recorded once, reused on later runs with the same
 // seed and lengths) and streams it from disk chunk by chunk instead of
 // holding the materialized buffer in memory. Output stays byte-identical
-// to the in-memory default at any -jobs; see DESIGN.md §16.
+// to the in-memory default at any -jobs; see DESIGN.md §16. Streaming
+// turns off the warm-state fork (each cell simulates its own warmup
+// instead of forking a shared warm machine), as do -trace-out,
+// -metrics-out and -serve; a run that starts with the fork off says so in
+// one stderr line.
 //
 // Distributed sweeps (see DESIGN.md §17): -coordinator ADDR runs the sweep
 // as a coordinator that persists every cell result in the content-addressed
@@ -146,7 +150,7 @@ func run() error {
 		seed       = flag.Uint64("seed", 1, "workload and allocator seed")
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (1 = sequential; output is identical either way)")
 		verbose    = flag.Bool("v", false, "print per-simulation progress with elapsed time")
-		traceDir   = flag.String("trace-dir", "", "cache workload traces as compressed DPBF v2 files in this directory (created if missing) and stream them from disk instead of holding materialized buffers in memory")
+		traceDir   = flag.String("trace-dir", "", "cache workload traces as compressed DPBF v2 files in this directory (created if missing) and stream them from disk instead of holding materialized buffers in memory; turns off warm-state fork, so every cell simulates its own warmup and the run is slower")
 		traceOut   = flag.String("trace-out", "", "write hook-point event trace to file (JSONL; a .csv extension selects CSV)")
 		metricsOut = flag.String("metrics-out", "", "write interval time series and final metrics JSON to file")
 		serveAddr  = flag.String("serve", "", "serve live monitoring HTTP endpoints on this address while the run lasts (\":0\" picks a free port)")
@@ -188,6 +192,7 @@ func run() error {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "paperexp: worker pulling cells from %s\n", *workerURL)
+		noteForkOff(*traceDir != "", false)
 		return expserve.RunWorker(ctx, expserve.WorkerConfig{
 			Coordinator: strings.TrimRight(*workerURL, "/"),
 			Jobs:        *jobs,
@@ -314,6 +319,9 @@ func run() error {
 		}()
 	}
 	r.Observer = observer
+	if r.Executor == nil {
+		noteForkOff(*traceDir != "", observer != nil)
+	}
 
 	selected := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -394,4 +402,22 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "paperexp: done in %v\n", time.Since(start).Round(time.Second))
 	return nil
+}
+
+// noteForkOff prints one stderr line when the runner's warm-state fork is
+// off for this run: streamed traces (-trace-dir) and an attached observer
+// (-trace-out, -metrics-out, -serve) each make every cell simulate its own
+// warmup instead of forking a shared warm machine. Stdout is unaffected.
+func noteForkOff(streamed, observed bool) {
+	var why []string
+	if streamed {
+		why = append(why, "-trace-dir")
+	}
+	if observed {
+		why = append(why, "observer attached")
+	}
+	if len(why) > 0 {
+		fmt.Fprintf(os.Stderr, "paperexp: warm-state fork off (%s): every cell simulates its own warmup, so the run is slower\n",
+			strings.Join(why, ", "))
+	}
 }

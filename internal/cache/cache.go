@@ -265,74 +265,6 @@ func (c *Cache) hit(set, base, w int, now uint64) *Block {
 	return b
 }
 
-// Locate finds the resident slot for key with no side effects at all — no
-// statistics, no replacement update, no Accessed bit. The batched
-// simulation loop uses it to pin down a (set, way) after the slow path
-// resolved an access; HitAt later replays hits against that slot directly.
-func (c *Cache) Locate(key uint64) (set, way int, ok bool) {
-	set = c.SetIndex(key)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	live := c.live[set]
-	for w := range tags {
-		if tags[w] == key && live>>uint(w)&1 != 0 {
-			return set, w, true
-		}
-	}
-	return 0, 0, false
-}
-
-// HitAt replays a Lookup hit against a previously Located (set, way) slot.
-// It is guarded: the slot must still hold key and be live, and only then
-// do the full hit-path side effects run (lookup/hit counters, Accessed
-// bit, dead-bit clear, replacement touch) — bit-identical to Lookup
-// finding the same entry, because tags are unique within a set. A failed
-// guard has no side effects whatsoever; the caller falls back to the full
-// path. This is what makes a memoized (set, way) safe against any
-// intervening eviction or invalidation: the guard detects it and the slow
-// path re-resolves.
-func (c *Cache) HitAt(set, way int, key, now uint64) (*Block, bool) {
-	base := set * c.ways
-	if c.tags[base+way] != key || c.live[set]>>uint(way)&1 == 0 {
-		return nil, false
-	}
-	c.lookups++
-	return c.hit(set, base, way, now), true
-}
-
-// CoalescibleHits reports whether a run of consecutive hits to one slot
-// can be applied as a single coalesced update (HitRun). True only for the
-// stamp-based LRU policy, whose hit effect has a closed form over k
-// repeats; pluggable policies keep opaque per-hit state, so callers must
-// replay their hits one by one through Lookup or HitAt.
-func (c *Cache) CoalescibleHits() bool { return c.lruStamp != nil }
-
-// HitRun applies k deferred hits to a slot in one update, bit-identical
-// to k individual Lookup hits on that slot of which the last happened at
-// time lastNow — provided the cache saw no other traffic (lookups, fills,
-// invalidations, flushes) between those hits, which is the caller's
-// contract, and the policy is coalescible (CoalescibleHits). The per-hit
-// effects all have closed forms under that contract: counters add k, the
-// Accessed bit and dead-bit clear are idempotent, LastHitTime keeps only
-// the final time, and k consecutive LRU touches of one way advance the
-// set clock by k and leave the way holding the final stamp.
-func (c *Cache) HitRun(set, way int, k, lastNow uint64) *Block {
-	base := set * c.ways
-	c.lookups += k
-	c.hits += k
-	b := &c.blocks[base+way]
-	b.Accessed = true
-	b.Hits += k
-	b.LastHitTime = lastNow
-	if d := c.dead[set]; d != 0 {
-		c.dead[set] = d &^ (1 << uint(way))
-	}
-	clk := c.lruClock[set] + k
-	c.lruClock[set] = clk
-	c.lruStamp[base+way] = clk
-	return b
-}
-
 // Probe checks residency without touching replacement state, the Accessed
 // bit or statistics. Mirror structures and tests use it.
 func (c *Cache) Probe(key uint64) (*Block, bool) {

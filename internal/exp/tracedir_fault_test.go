@@ -220,3 +220,37 @@ func TestRecordV2FullDiskPropagates(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceDirGridMatchesInMemory: a Table IV grid streamed from DPBF v2
+// trace files must give bit-identical results to the same grid run from
+// in-memory buffers. The streamed side also runs every setup cold (no
+// warm-state fork), so this pins cold ≡ fork across the trace planes.
+func TestTraceDirGridMatchesInMemory(t *testing.T) {
+	workloads := []trace.Workload{testWorkload(t, "cc"), testWorkload(t, "mcf")}
+	setups := []Setup{Baseline(), AIPTLBSetup(), SHiPTLBSetup(), DPPredSetup(), IsoStorageSetup(), OracleSetup()}
+
+	mem := NewRunner(cancelTestParams)
+	streamed := NewRunner(cancelTestParams)
+	streamed.SetJobs(2)
+	streamed.SetTraceDir(t.TempDir())
+	for _, r := range []*Runner{mem, streamed} {
+		if err := r.RunGrid(workloads, setups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range workloads {
+		for _, su := range setups {
+			want, err := mem.Run(w, su)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := streamed.Run(w, su)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: streamed result diverges from in-memory:\n  streamed:  %+v\n  in-memory: %+v", w.Name, su.Name, got, want)
+			}
+		}
+	}
+}

@@ -364,20 +364,11 @@ func (m *MultiSystem) Step(gens []trace.Generator) error {
 	}
 	c := m.active[m.rr]
 	m.rr = (m.rr + 1) % len(m.active)
-	return m.stepCore(c, gens)
-}
-
-func (m *MultiSystem) stepCore(c int, gens []trace.Generator) error {
 	ti := m.coreTenants[c][m.curTenant[c]]
-	return m.stepCoreAccess(c, ti, gens[ti].Next())
-}
-
-// stepCoreAccess feeds one already-fetched record of tenant ti through
-// core c — the shared tail of the per-access and chunked step loops.
-func (m *MultiSystem) stepCoreAccess(c, ti int, a trace.Access) error {
 	t := m.tenants[ti]
 	s := m.cores[c]
 
+	a := gens[ti].Next()
 	if err := s.Step(a); err != nil {
 		return fmt.Errorf("sim: core %d tenant %d: %w", c, ti, err)
 	}
@@ -461,129 +452,12 @@ func (m *MultiSystem) Run(gens []trace.Generator, n uint64) error {
 }
 
 // RunContext is Run with cancellation, checked on the same coarse stride
-// as System.RunContext. When every tenant's generator supports columnar
-// chunk draining it switches to the chunked step loop, which consumes
-// whole chunks per tenant instead of one Generator interface call per
-// access; results are bit-identical either way.
+// as System.RunContext. It is the one loop every run of a MultiSystem goes
+// through — one Step per scheduled access.
 func (m *MultiSystem) RunContext(ctx context.Context, gens []trace.Generator, n uint64) error {
 	if len(gens) != len(m.tenants) {
 		return fmt.Errorf("sim: %d generators for %d tenants", len(gens), len(m.tenants))
 	}
-	if crs := chunkReaders(gens); crs != nil {
-		return m.runContextChunked(ctx, gens, crs, n)
-	}
-	if done := ctx.Done(); done != nil {
-		for i := uint64(0); i < n; i++ {
-			if i&(ctxCheckStride-1) == 0 {
-				select {
-				case <-done:
-					return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
-				default:
-				}
-			}
-			if err := m.Step(gens); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
-			}
-		}
-	} else {
-		for i := uint64(0); i < n; i++ {
-			if err := m.Step(gens); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
-			}
-		}
-	}
-	for ti, g := range gens {
-		if err := trace.GeneratorErr(g); err != nil {
-			return fmt.Errorf("sim: tenant %d after %d total accesses: %w", ti, n, err)
-		}
-	}
-	return nil
-}
-
-// chunkReaders returns the generators' ChunkReader views, or nil unless
-// every one supports chunk draining.
-func chunkReaders(gens []trace.Generator) []trace.ChunkReader {
-	if len(gens) == 0 {
-		return nil
-	}
-	crs := make([]trace.ChunkReader, len(gens))
-	for i, g := range gens {
-		cr, ok := g.(trace.ChunkReader)
-		if !ok {
-			return nil
-		}
-		crs[i] = cr
-	}
-	return crs
-}
-
-// tenantQuota computes how many accesses each tenant will consume over
-// the next n machine steps. The schedule is a pure function of the
-// current scheduling state (round-robin cursor, per-core tenant rotation,
-// quantum remainders) and nothing an access does feeds back into it, so
-// the chunked loop can replay it cheaply in advance and bound each
-// tenant's generator draw to exactly its consumption — keeping generator
-// positions identical to the per-access loop's, which the checkpoint
-// splice protocol depends on.
-func (m *MultiSystem) tenantQuota(n uint64) []uint64 {
-	quota := make([]uint64, len(m.tenants))
-	multi := false
-	for _, lst := range m.coreTenants {
-		if len(lst) > 1 {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		// One tenant per core: pure round-robin over the active cores,
-		// in closed form.
-		k := uint64(len(m.active))
-		for off, c := range m.active {
-			ci := (uint64(off) - uint64(m.rr) + k) % k
-			share := n / k
-			if ci < n%k {
-				share++
-			}
-			quota[m.coreTenants[c][0]] = share
-		}
-		return quota
-	}
-	cur := append([]int(nil), m.curTenant...)
-	slice := append([]uint64(nil), m.sliceLeft...)
-	rr := m.rr
-	for i := uint64(0); i < n; i++ {
-		c := m.active[rr]
-		rr = (rr + 1) % len(m.active)
-		ti := m.coreTenants[c][cur[c]]
-		quota[ti]++
-		if m.cfg.Quantum > 0 && len(m.coreTenants[c]) > 1 {
-			slice[c]--
-			if slice[c] == 0 {
-				cur[c] = (cur[c] + 1) % len(m.coreTenants[c])
-				slice[c] = m.cfg.Quantum
-			}
-		}
-	}
-	return quota
-}
-
-// runContextChunked is the chunked multi-generator step loop: each tenant
-// keeps a cursor into its generator's current columnar chunk and refills
-// it with one NextChunk call per ctxCheckStride records, so the
-// round-robin scheduler — which is unchanged, access for access — no
-// longer pays a Generator interface call per access. Draws are bounded by
-// the precomputed per-tenant quota so generators end at exactly the
-// positions the per-access loop leaves them at. A tenant whose source can
-// produce no chunk (empty trace, latched v2 decode error) degrades to
-// per-access Next for exactly the accesses scheduled to it, which is what
-// the per-access loop would have fed the core anyway.
-func (m *MultiSystem) runContextChunked(ctx context.Context, gens []trace.Generator, crs []trace.ChunkReader, n uint64) error {
-	type cursor struct {
-		c   trace.Chunk
-		off int
-	}
-	cur := make([]cursor, len(crs))
-	left := m.tenantQuota(n)
 	done := ctx.Done()
 	for i := uint64(0); i < n; i++ {
 		if done != nil && i&(ctxCheckStride-1) == 0 {
@@ -593,35 +467,7 @@ func (m *MultiSystem) runContextChunked(ctx context.Context, gens []trace.Genera
 			default:
 			}
 		}
-		c := m.active[m.rr]
-		m.rr = (m.rr + 1) % len(m.active)
-		ti := m.coreTenants[c][m.curTenant[c]]
-		tc := &cur[ti]
-		if tc.off >= tc.c.Len() {
-			want := left[ti]
-			if want > ctxCheckStride {
-				want = ctxCheckStride
-			}
-			ch, _ := crs[ti].NextChunk(int(want))
-			left[ti] -= uint64(ch.Len())
-			if ch.Len() == 0 {
-				if err := m.stepCoreAccess(c, ti, crs[ti].Next()); err != nil {
-					return fmt.Errorf("sim: access %d: %w", i, err)
-				}
-				continue
-			}
-			tc.c, tc.off = ch, 0
-		}
-		o := tc.off
-		tc.off++
-		a := trace.Access{
-			PC:        tc.c.PC[o],
-			Addr:      arch.VAddr(tc.c.VA[o]),
-			Gap:       tc.c.Gap[o],
-			Write:     tc.c.Flags[o]&trace.FlagWrite != 0,
-			Dependent: tc.c.Flags[o]&trace.FlagDependent != 0,
-		}
-		if err := m.stepCoreAccess(c, ti, a); err != nil {
+		if err := m.Step(gens); err != nil {
 			return fmt.Errorf("sim: access %d: %w", i, err)
 		}
 	}

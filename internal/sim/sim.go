@@ -341,29 +341,28 @@ func (s *System) Run(g trace.Generator, n uint64) error {
 // enough to be invisible next to the per-access simulation work.
 const ctxCheckStride = 4096
 
+// The run loops test the stride with the mask form i&(ctxCheckStride-1),
+// which is only equivalent to a modulus when the stride is a power of two;
+// this constant fails to compile otherwise (a negative value cannot convert
+// to uint).
+const _ uint = -(ctxCheckStride & (ctxCheckStride - 1))
+
 // RunContext is Run with cancellation: the access loop checks ctx on a
-// coarse stride and stops with ctx's error when it is canceled. A
-// background (uncancelable) context takes a separate loop with no check at
-// all, so the hot path pays nothing for the capability.
+// coarse stride and stops with ctx's error when it is canceled. It is the
+// one loop every run of a System goes through — one Step per generator
+// record.
 func (s *System) RunContext(ctx context.Context, g trace.Generator, n uint64) error {
-	if done := ctx.Done(); done != nil {
-		for i := uint64(0); i < n; i++ {
-			if i&(ctxCheckStride-1) == 0 {
-				select {
-				case <-done:
-					return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
-				default:
-				}
-			}
-			if err := s.Step(g.Next()); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
+	done := ctx.Done()
+	for i := uint64(0); i < n; i++ {
+		if done != nil && i&(ctxCheckStride-1) == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
+			default:
 			}
 		}
-	} else {
-		for i := uint64(0); i < n; i++ {
-			if err := s.Step(g.Next()); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
-			}
+		if err := s.Step(g.Next()); err != nil {
+			return fmt.Errorf("sim: access %d: %w", i, err)
 		}
 	}
 	if err := trace.GeneratorErr(g); err != nil {

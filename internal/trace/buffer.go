@@ -28,9 +28,9 @@ type Buffer struct {
 }
 
 // Per-record flag bits of the packed flags byte. Bits 2..7 are reserved
-// and must be zero on disk. FlagWrite and FlagDependent are exported so the
-// batched simulation path (sim.System.RunBatch) can decode a flags column
-// without reconstructing Access values.
+// and must be zero on disk. FlagWrite and FlagDependent are exported so
+// chunk consumers can decode a Chunk's flags column without reconstructing
+// Access values.
 const (
 	FlagWrite     uint8 = 1 << 0
 	FlagDependent uint8 = 1 << 1
@@ -176,9 +176,9 @@ func (r *BufferReader) Fork() Generator {
 }
 
 // Chunk is a columnar view of consecutive trace accesses: one parallel
-// slice per Access field, in the Buffer's struct-of-arrays layout. The
-// batched simulation loop consumes chunks directly, with no per-access
-// Access reconstruction and no Generator interface call per record.
+// slice per Access field, in the Buffer's struct-of-arrays layout, so a
+// consumer can drain a stream with no per-access Access reconstruction and
+// no Generator interface call per record.
 type Chunk struct {
 	PC    []uint64
 	VA    []uint64

@@ -60,8 +60,8 @@ import (
 // header.
 const (
 	bufferVersion2 = 2
-	// v2ChunkLen is the writers' chunk granule. It matches ctxCheckStride,
-	// so batched replay naturally checks cancellation once per chunk.
+	// v2ChunkLen is the writers' chunk granule. It matches
+	// ctxCheckStride, the drain loops' cancellation stride.
 	v2ChunkLen = ctxCheckStride
 	// v2MaxChunkLen bounds the chunkLen a reader accepts, capping what a
 	// corrupt header can make the decoder allocate.

@@ -126,12 +126,11 @@ func RecordContext(ctx context.Context, w io.Writer, g Generator, n uint64) erro
 	return tw.Flush()
 }
 
-// ctxCheckStride is how many loop iterations drain loops (Record,
-// Materialize, sim.System.RunContext) run between context checks: frequent
+// ctxCheckStride is how many loop iterations this package's drain loops
+// (Record, Materialize, RecordV2) run between context checks: frequent
 // enough that cancellation lands within microseconds, coarse enough that
-// the check is invisible next to the per-iteration work. It doubles as the
-// batch granule of the chunked APIs (Buffer.NextChunk, the DPBF v2 chunk
-// size), so cancellation keeps landing at chunk boundaries.
+// the check is invisible next to the per-iteration work. It is also the
+// DPBF v2 chunk size, so the v2 writers check once per chunk.
 const ctxCheckStride = 4096
 
 // Every drain loop tests the stride with the mask form
